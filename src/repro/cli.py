@@ -106,7 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-batch", type=int, default=32,
                        help="micro-batcher capacity in samples")
     serve.add_argument("--deadline-ms", type=float, default=2.0,
-                       help="max batching delay before a partial batch dispatches")
+                       help="max coalescing delay while every shard is busy "
+                            "(an idle shard takes queued requests at once)")
     serve.add_argument("--clients", type=int, default=8,
                        help="closed-loop load-generator client threads")
     serve.add_argument("--requests", type=int, default=24,
@@ -229,7 +230,10 @@ def _build_parser() -> argparse.ArgumentParser:
                              "else latest)")
     fserve.add_argument("--workers", type=int, default=2)
     fserve.add_argument("--max-batch", type=int, default=32)
-    fserve.add_argument("--deadline-ms", type=float, default=2.0)
+    fserve.add_argument("--deadline-ms", type=float, default=2.0,
+                        help="max coalescing delay while every shard is "
+                             "busy (an idle shard takes queued requests "
+                             "at once)")
     fserve.add_argument("--clients", type=int, default=4,
                         help="closed-loop client threads per model")
     fserve.add_argument("--requests", type=int, default=16,

@@ -6,7 +6,7 @@ into an online serving system:
 
 * :class:`LocalizationServer` — forks N worker processes, each restoring
   a session from a snapshot shipped over a ``multiprocessing`` queue;
-  fronted by a request queue, an adaptive micro-batcher
+  fronted by a request queue, a work-conserving micro-batcher
   (:class:`AdaptiveBatchPolicy`) and least-loaded shard routing, with
   health-checked workers that restart on crash without losing requests.
 * :mod:`repro.serve.shm` — the zero-copy shared-memory batch transport:

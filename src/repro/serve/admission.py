@@ -257,7 +257,7 @@ class AdmissionController:
             cell = self._counters[model] = dict.fromkeys(_OUTCOMES, 0)
         return cell
 
-    def _observe_arrival(self, model: str, now: float | None) -> None:
+    def _note_arrival(self, model: str, now: float | None) -> None:
         """Fold one arrival into the model's rate EMA.  Every arrival
         counts — admitted, rejected *and* shed — so the shed buckets
         admit a true fraction of *offered* load; tracking only admitted
@@ -275,11 +275,11 @@ class AdmissionController:
 
     def record_admitted(self, model: str, now: float | None = None) -> None:
         self._cell(model)["admitted"] += 1
-        self._observe_arrival(model, now)
+        self._note_arrival(model, now)
 
     def record_rejected(self, model: str, now: float | None = None) -> None:
         self._cell(model)["rejected"] += 1
-        self._observe_arrival(model, now)
+        self._note_arrival(model, now)
 
     def record_expired(self, model: str) -> None:
         self._cell(model)["expired"] += 1
@@ -325,7 +325,7 @@ class AdmissionController:
         if bucket.take(1.0, now=now):
             return False
         self._cell(model)["shed"] += 1
-        self._observe_arrival(model, now)
+        self._note_arrival(model, now)
         return True
 
     def _allowed_rate(self, model: str, class_fraction: float) -> float:
@@ -421,15 +421,15 @@ class Autoscaler:
     """Elastic per-route shard shares with hysteresis.
 
     A background loop (or a test calling :meth:`rebalance` directly)
-    reads each model's pressure — queued samples, in-flight samples,
-    and p95 latency — and moves the models' soft shares of the shard
-    pool toward the load distribution.  Shares feed the dispatcher's
-    per-route concurrency caps (``share × live shards × max_batch``
-    samples in flight, floored at one full batch so every route always
-    makes progress).  Moves are exponential (``step`` of the gap per
-    round) and only *commit* when the largest move exceeds
-    ``deadband`` — hysteresis against share flapping; every commit is
-    journaled as a ``rebalance`` event.
+    reads each model's pressure — samples queued since the last round,
+    queued samples, in-flight samples, and p95 latency — and moves the
+    models' soft shares of the shard pool toward the load distribution.
+    Shares feed the dispatcher's per-route concurrency caps (``share ×
+    live shards × max_batch`` samples in flight, floored at one full
+    batch so every route always makes progress).  Moves are exponential
+    (``step`` of the gap per round) and only *commit* when the largest
+    move exceeds ``deadband`` — hysteresis against share flapping; every
+    commit is journaled as a ``rebalance`` event.
 
     Parameters
     ----------
@@ -456,6 +456,7 @@ class Autoscaler:
         self.deadband = float(deadband)
         self.rebalances = 0
         self.evaluations = 0
+        self._enqueued: dict[str, int] = {}  # at the previous round
         self._thread = None
         self._stop = None
 
@@ -499,18 +500,25 @@ class Autoscaler:
         return None
 
     def _loads(self) -> dict[str, float]:
-        """Per-model pressure: queued + in-flight samples, weighted up
-        by p95 latency (a slow hot route needs share sooner than a fast
-        one at the same depth)."""
+        """Per-model pressure: samples queued since the last round plus
+        the queued + in-flight backlog, weighted up by p95 latency (a
+        slow hot route needs share sooner than a fast one at the same
+        depth).  The demand term matters because a work-conserving
+        batcher leaves the backlog near zero between requests, so a
+        point sample of it alone is mostly noise."""
         server = self.server
         with server._lock:
             routes = dict(server._routes)
             outstanding = dict(server._route_outstanding)
             with server._cond:
                 queued = dict(server._pending_by_model)
+                enqueued = dict(server._enqueued_samples)
+        previous, self._enqueued = self._enqueued, enqueued
         loads = {}
         for model, key in routes.items():
-            base = float(queued.get(model, 0) + outstanding.get(model, 0))
+            demand = enqueued.get(model, 0) - previous.get(model, 0)
+            base = float(demand + queued.get(model, 0)
+                         + outstanding.get(model, 0))
             p95 = self._p95_ms(model, key)
             weight = 1.0 + (p95 / 100.0 if p95 else 0.0)
             loads[model] = base * weight

@@ -1,20 +1,23 @@
-"""Adaptive micro-batching policy for the serving dispatcher.
+"""Work-conserving micro-batching rule for the serving dispatcher.
 
-The dispatcher coalesces pending requests into one worker batch.  Waiting
-longer fills bigger batches (better throughput); dispatching sooner cuts
-queueing latency.  :class:`AdaptiveBatchPolicy` decides *how long to keep
-waiting* from two signals:
+The dispatcher coalesces pending requests into one worker batch.
+:class:`AdaptiveBatchPolicy` decides *how long to keep coalescing* from
+the state of the shard pool, not from a model of the traffic:
 
-* a hard latency deadline (``max_delay_ms`` after the oldest pending
-  request arrived) — the worst-case batching delay a request can pay;
-* an exponential moving average of request inter-arrival time — if the
-  observed arrival rate cannot plausibly fill the remaining batch slots
-  before the deadline, the policy stops waiting *now* instead of burning
-  the full deadline on traffic that is not coming.
+* a live shard with nothing outstanding means the engine is free, so
+  whatever is queued dispatches *now* — a lone request never waits for a
+  batch that will not fill;
+* while every shard is busy, waiting costs no engine time, so requests
+  keep coalescing until a shard frees up (the collector wakes the
+  dispatcher), the batch reaches ``max_batch``, ``max_delay_ms`` passes
+  since the oldest pending request arrived, or half the nearest QoS
+  deadline slack is spent.
 
-The policy is pure (no threads, no clocks of its own): the dispatcher
-feeds it timestamps and pending counts, and it answers with a wait budget
-in seconds.  This keeps it unit-testable without spawning a server.
+Batch size therefore comes from queueing: it grows with load and stays
+at one under sparse traffic (Clipper's adaptive batching, Crankshaw et
+al., NSDI 2017).  The rule is pure (no threads, no clocks of its own):
+the dispatcher feeds it the pool state and pending counts, and it
+answers with a wait budget in seconds.
 
 :func:`assemble_images` is the other half of batch formation: it gathers
 the coalesced requests' image blocks into the dispatch payload — either
@@ -60,78 +63,42 @@ class AdaptiveBatchPolicy:
         Target batch capacity in samples (a single oversized request still
         dispatches alone; the worker chunks it internally).
     max_delay_ms:
-        Hard ceiling on how long the oldest pending request may wait
-        before its batch is dispatched, full or not.
-    ema_alpha:
-        Smoothing factor of the inter-arrival EMA (higher = adapts
-        faster to traffic changes).
+        Ceiling on how long the oldest pending request may wait for a
+        busy pool before its batch is dispatched, full or not.  An idle
+        shard never waits for it.
     """
 
-    #: Below this wait budget (seconds) the dispatcher should just go.
-    MIN_WAIT_S = 1e-4
-
-    def __init__(self, max_batch: int, max_delay_ms: float = 2.0,
-                 ema_alpha: float = 0.2):
+    def __init__(self, max_batch: int, max_delay_ms: float = 2.0):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if max_delay_ms < 0:
             raise ValueError(f"max_delay_ms must be >= 0, got {max_delay_ms}")
         self.max_batch = int(max_batch)
         self.max_delay_s = float(max_delay_ms) / 1e3
-        self.ema_alpha = float(ema_alpha)
-        self._last_arrival: float | None = None
-        self.ema_interarrival_s: float | None = None
-
-    def observe_arrival(self, now: float) -> None:
-        """Update the inter-arrival EMA with a request arriving at ``now``."""
-        if self._last_arrival is not None:
-            gap = max(0.0, now - self._last_arrival)
-            if self.ema_interarrival_s is None:
-                self.ema_interarrival_s = gap
-            else:
-                self.ema_interarrival_s += self.ema_alpha * (gap - self.ema_interarrival_s)
-        self._last_arrival = now
 
     def wait_budget(self, pending_samples: int, oldest_age_s: float,
+                    shard_idle: bool,
                     deadline_slack_s: float | None = None) -> float:
         """Seconds the dispatcher may keep waiting for more requests.
 
         ``pending_samples`` is the queued sample count, ``oldest_age_s``
-        how long ago the oldest pending request arrived.
+        how long ago the oldest pending request arrived and
+        ``shard_idle`` whether any live shard has nothing outstanding.
         ``deadline_slack_s`` (optional) is the smallest remaining
-        QoS-deadline slack among the queued requests: the batching delay
-        is clamped to half of it, so a request near its deadline
-        dispatches (possibly in a partial batch) instead of expiring in
-        the coalescing wait.  Returns 0 when the batch should be
-        dispatched immediately.
+        QoS-deadline slack among the queued requests: the wait is
+        clamped to half of it, so a request near its deadline dispatches
+        (possibly in a partial batch) instead of expiring in the
+        coalescing wait.  Returns 0 when the batch should be dispatched
+        immediately.
         """
-        if pending_samples >= self.max_batch:
-            return 0.0  # full batch — never wait
+        if shard_idle or pending_samples >= self.max_batch:
+            return 0.0
         remaining = self.max_delay_s - oldest_age_s
         if deadline_slack_s is not None:
             remaining = min(remaining, deadline_slack_s * 0.5)
-        if remaining <= self.MIN_WAIT_S:
-            return 0.0  # deadline hit
-        if self.ema_interarrival_s is None:
-            return remaining  # no traffic model yet — trust the deadline
-        # Time the current arrival rate needs to fill the rest of the batch.
-        expected_fill = self.ema_interarrival_s * (self.max_batch - pending_samples)
-        if expected_fill <= self.MIN_WAIT_S:
-            # Arrivals are far faster than the clock granularity; a single
-            # short wait will fill the batch.
-            return min(remaining, self.MIN_WAIT_S * 10)
-        budget = min(remaining, expected_fill)
-        return budget if budget > self.MIN_WAIT_S else 0.0
+        return max(0.0, remaining)
 
     def summary(self) -> dict:
-        """The policy's current traffic model, for ``stats()`` and the
-        metrics collectors (``ema_interarrival_ms`` is ``None`` until at
-        least two arrivals have been observed)."""
-        return {
-            "max_batch": self.max_batch,
-            "max_delay_ms": self.max_delay_s * 1e3,
-            "ema_interarrival_ms": (
-                None if self.ema_interarrival_s is None
-                else self.ema_interarrival_s * 1e3
-            ),
-        }
+        """The rule's settings, for ``stats()``."""
+        return {"max_batch": self.max_batch,
+                "max_delay_ms": self.max_delay_s * 1e3}

@@ -10,8 +10,9 @@ Four experiments, recorded to ``BENCH_serving.json``
   record carries ``cpu_count`` and a ``hardware_limited`` flag so the
   ≥2x @ 4-workers gate is asserted only where the hardware can express it.
 * **deadline_sweep** — single-image closed-loop clients against a fixed
-  shard count while the micro-batcher deadline sweeps; reads out the
-  batching trade-off (mean coalesced batch size vs request latency).
+  shard count while ``max_delay_ms`` (the batcher's coalescing ceiling
+  while every shard is busy) sweeps; reads out mean coalesced batch size
+  vs request latency.
 * **fault_tolerance** — a kill-one-worker drill: SIGKILL a busy shard
   mid-load and verify every submitted request still completes (the
   monitor restarts the worker and re-dispatches its in-flight batches).

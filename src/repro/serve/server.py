@@ -3,7 +3,7 @@
 Architecture::
 
     client threads ──submit()──▶ pending deque ──▶ dispatcher thread
-                                                       │  adaptive micro-batcher
+                                                       │  work-conserving batcher
                                                        │  + per-model routing
                                                        ▼
                               least-loaded shard task queue (one per worker)
@@ -22,9 +22,10 @@ Architecture::
   loads one key per deployed model version and hot-swaps between them.
 * Requests carry a model id; the dispatcher resolves it to a route key at
   dispatch time (so a routing flip instantly redirects queued traffic),
-  coalesces same-key requests up to ``max_batch`` samples or an adaptive
-  latency deadline (:mod:`repro.serve.batcher`), and routes each batch to
-  the shard with the fewest outstanding samples.
+  dispatches queued same-key requests at once while a shard is idle and
+  coalesces them only while every shard is busy, up to ``max_batch``
+  samples or ``max_delay_ms`` (:mod:`repro.serve.batcher`), and routes
+  each batch to the shard with the fewest outstanding samples.
 * Batch payloads default to the **zero-copy shared-memory transport**
   (:mod:`repro.serve.shm`): the dispatcher writes each micro-batch's
   float32 image block straight into the target shard's ring segment and
@@ -296,7 +297,10 @@ class LocalizationServer:
         Micro-batcher capacity in samples; defaults to the session's
         ``max_batch`` (32 when starting empty).
     max_delay_ms:
-        Hard ceiling on batching delay before a partial batch dispatches.
+        Ceiling on coalescing while every shard is busy: a partial batch
+        dispatches once its oldest request has waited this long.  The
+        batcher is work-conserving — when any shard is idle, queued
+        requests dispatch at once and never wait for this ceiling.
     start_method:
         ``multiprocessing`` start method; default prefers ``fork`` (cheap,
         zero-copy snapshot) and falls back to ``spawn``.
@@ -457,7 +461,7 @@ class LocalizationServer:
 
         self._shards: list[_Shard] = []
         self._pending: deque[_Request] = deque()
-        self._cond = threading.Condition()  # guards _pending + policy
+        self._cond = threading.Condition()  # guards _pending
         self._lock = threading.RLock()  # guards requests/in-flight/shard state
         #: Signaled whenever a ring lease is freed — the dispatcher waits
         #: on this (releasing _lock) when a shard's ring is full.
@@ -495,6 +499,9 @@ class LocalizationServer:
         #: Pending samples per model id — guarded by _cond alongside
         #: _pending; feeds per-route queue bounds and autoscaler load.
         self._pending_by_model: dict[str, int] = {}
+        #: Cumulative samples ever queued per model (guarded by _cond) —
+        #: the autoscaler's demand signal.
+        self._enqueued_samples: dict[str, int] = {}
         #: How many queued requests carry a deadline (guarded by _cond);
         #: zero keeps the expiry cull entirely off the dispatch path.
         self._deadline_count = 0
@@ -1039,7 +1046,6 @@ class LocalizationServer:
                 self.qos.record_admitted(model, now=now)
                 self._account_pending(request)
                 self._pending.append(request)
-                self._policy.observe_arrival(now)
                 self._cond.notify()
         if reject is not None:
             with self._lock:
@@ -1188,6 +1194,8 @@ class LocalizationServer:
         """Bookkeeping for a request entering ``_pending`` (under _cond)."""
         self._pending_by_model[request.model] = \
             self._pending_by_model.get(request.model, 0) + request.n
+        self._enqueued_samples[request.model] = \
+            self._enqueued_samples.get(request.model, 0) + request.n
         if request.deadline is not None:
             self._deadline_count += 1
 
@@ -1272,8 +1280,10 @@ class LocalizationServer:
         return slack
 
     def _gather_batch(self) -> tuple[str | None, list[_Request]]:
-        """Coalesce pending same-route requests per the adaptive policy;
-        blocks until there is something to dispatch or the server stops.
+        """Coalesce pending same-route requests per the work-conserving
+        policy (dispatch at once while a shard is idle, coalesce while
+        all are busy); blocks until there is something to dispatch or the
+        server stops.
 
         Admission-control duties on the way: already-expired requests
         are culled before they cost a batch slot, the batching delay is
@@ -1292,8 +1302,12 @@ class LocalizationServer:
                 now = time.perf_counter()
                 pending_samples = sum(r.n for r in self._pending)
                 oldest_age = now - self._pending[0].enqueued
+                # Read without _lock: a stale count costs one wait, which
+                # the collector's notify on a freed shard cuts short.
+                shard_idle = any(not shard.failed and not shard.outstanding
+                                 for shard in self._shards)
                 budget = self._policy.wait_budget(
-                    pending_samples, oldest_age,
+                    pending_samples, oldest_age, shard_idle,
                     deadline_slack_s=self._nearest_deadline_slack(now),
                 )
                 if budget <= 0.0:
@@ -1490,8 +1504,7 @@ class LocalizationServer:
                 if batch is None:
                     return  # duplicate after a crash re-dispatch
                 current = self._shards[batch.shard]
-                current.outstanding = max(0, current.outstanding - batch.n)
-                self._track_outstanding(batch.requests, -1)
+                self._release_shard(current, batch)
                 now = time.perf_counter()
                 current.stats.record_complete(
                     batch.n, (now - batch.dispatched) * 1e3
@@ -1534,8 +1547,7 @@ class LocalizationServer:
                 if batch is None:
                     return
                 current = self._shards[batch.shard]
-                current.outstanding = max(0, current.outstanding - batch.n)
-                self._track_outstanding(batch.requests, -1)
+                self._release_shard(current, batch)
                 current.stats.record_error()
                 if batch.transport == "shm" \
                         and text.startswith("ShmTransportError") \
@@ -1591,6 +1603,16 @@ class LocalizationServer:
         fleet canary path retries on the incumbent; the base server fails
         the requests."""
         return False
+
+    def _release_shard(self, shard: _Shard, batch: _Batch) -> None:
+        """Return a finished batch's samples from ``shard`` (under the
+        bookkeeping lock); a shard going idle wakes the dispatcher, which
+        may be coalescing only because every shard was busy."""
+        shard.outstanding = max(0, shard.outstanding - batch.n)
+        self._track_outstanding(batch.requests, -1)
+        if not shard.outstanding:
+            with self._cond:  # _lock → _cond, as in _requeue
+                self._cond.notify()
 
     def _track_outstanding(self, requests: list[_Request], sign: int) -> None:
         """Maintain dispatched-but-unfinished samples per model id; called
@@ -1859,10 +1881,6 @@ class LocalizationServer:
                          ring["wraps"], shard=label)
                     emit("serve_ring_alloc_failures_total", "counter",
                          ring["alloc_failures"], shard=label)
-            policy = self._policy.summary()
-            if policy["ema_interarrival_ms"] is not None:
-                emit("serve_batcher_ema_interarrival_ms", "gauge",
-                     policy["ema_interarrival_ms"])
             series.extend(self.tracer.collect(prefix="serve_traces"))
         return series
 

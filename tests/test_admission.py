@@ -389,6 +389,26 @@ class TestAutoscaler:
             self._inject_queue_depth(server, {"tenant_a": 0, "tenant_b": 0})
             server.close()
 
+    def test_served_demand_moves_share(self, session, images):
+        """Samples queued since the last round count even once served:
+        a work-conserving batcher leaves little backlog to sample."""
+        server = self._two_tenant_server(session)
+        try:
+            scaler = Autoscaler(server, min_share=0.1, step=0.5,
+                                deadband=0.02)
+            assert scaler.rebalance() is None  # no traffic yet
+            for _ in range(4):
+                request_id = server.submit(images[:8], model="tenant_a")
+                server.result(request_id, timeout=30.0)
+            shares = scaler.rebalance()
+            assert shares is not None and shares["tenant_a"] > 0.6
+            # No new demand: the share decays back toward an even split.
+            for _ in range(8):
+                scaler.rebalance()
+            assert abs(server.route_shares()["tenant_a"] - 0.5) < 0.1
+        finally:
+            server.close()
+
     def test_deadband_suppresses_flapping(self, session):
         server = self._two_tenant_server(session)
         try:
@@ -437,14 +457,17 @@ class TestFleetQos:
 
 class TestGatewayQos:
     @pytest.fixture()
-    def stack(self, session):
+    def stack(self, session, stall_worker):
+        """A gateway over a one-worker server whose worker is stalled, so
+        admitted requests stay queued until the test calls ``resume()``."""
         policy = QosPolicy(priority="standard", max_queue=8)
         with LocalizationServer(session, workers=1, max_batch=64,
-                                max_delay_ms=400.0,
+                                max_delay_ms=60_000.0,
                                 qos={DEFAULT_MODEL: policy}) as server:
             gateway = GatewayServer(server, max_connections=16).start()
             try:
-                yield server, gateway
+                with stall_worker(server) as resume:
+                    yield gateway, resume
             finally:
                 gateway.close()
 
@@ -454,7 +477,7 @@ class TestGatewayQos:
             .astype(np.float32)
 
     def test_overloaded_wire_code_and_retry_after(self, stack):
-        _server, gateway = stack
+        gateway, resume = stack
         with GatewayClient("127.0.0.1", gateway.port) as client:
             ids = [client.submit(self._fingerprint(i)) for i in range(8)]
             overflow = client.submit(self._fingerprint(99))
@@ -463,13 +486,14 @@ class TestGatewayQos:
             error = response["error"]
             assert error["code"] == "overloaded"
             assert error["retry_after_s"] > 0
+            resume()
             for request_id in ids:  # the admitted ones all complete
                 assert client.result(request_id, timeout=10.0)["ok"]
 
     def test_http_503_carries_retry_after_header(self, stack):
         import socket as socketlib
 
-        _server, gateway = stack
+        gateway, resume = stack
         with GatewayClient("127.0.0.1", gateway.port) as filler:
             ids = [filler.submit(self._fingerprint(i)) for i in range(8)]
             body = json.dumps(
@@ -493,11 +517,12 @@ class TestGatewayQos:
             head = raw.split(b"\r\n\r\n", 1)[0].decode()
             assert head.startswith("HTTP/1.1 503")
             assert "retry-after:" in head.lower()
+            resume()
             for request_id in ids:
                 assert filler.result(request_id, timeout=10.0)["ok"]
 
     def test_client_retry_honors_hint_then_succeeds(self, stack):
-        _server, gateway = stack
+        gateway, resume = stack
         with GatewayClient("127.0.0.1", gateway.port) as filler, \
                 GatewayClient("127.0.0.1", gateway.port, max_retries=4,
                               backoff_base_s=0.01) as client:
@@ -508,30 +533,42 @@ class TestGatewayQos:
             probe = filler.result(filler.submit(self._fingerprint(98)),
                                   timeout=5.0)
             assert probe["error"]["code"] == "overloaded"
+            # Drain the backlog only once the first attempt has been
+            # refused: the retry then finds room after its backoff.
+            backoff = client._backoff_s
+
+            def resume_then_backoff(attempt, hint):
+                resume()
+                return backoff(attempt, hint)
+
+            client._backoff_s = resume_then_backoff
             response = client.localize(self._fingerprint(42), timeout=10.0)
             assert response["ok"] and client.retries >= 1
             for request_id in ids:
                 assert filler.result(request_id, timeout=10.0)["ok"]
 
-    def test_retry_budget_exhausts_into_structured_error(self, session):
+    def test_retry_budget_exhausts_into_structured_error(self, session,
+                                                         stall_worker):
         # A one-slot route that never drains within the retry budget:
         # the final overloaded error surfaces with its hint intact.
         policy = QosPolicy(priority="standard", max_queue=1)
         with LocalizationServer(session, workers=1, max_batch=64,
-                                max_delay_ms=2000.0,
+                                max_delay_ms=60_000.0,
                                 qos={DEFAULT_MODEL: policy}) as server:
             gateway = GatewayServer(server, max_connections=16).start()
             try:
                 with GatewayClient("127.0.0.1", gateway.port) as filler, \
                         GatewayClient("127.0.0.1", gateway.port,
                                       max_retries=2,
-                                      backoff_base_s=0.01) as client:
+                                      backoff_base_s=0.01) as client, \
+                        stall_worker(server) as resume:
                     held = filler.submit(self._fingerprint(0))
                     with pytest.raises(GatewayError) as info:
                         client.localize(self._fingerprint(1), timeout=10.0)
                     assert info.value.code == "overloaded"
                     assert info.value.retry_after_s is not None
                     assert client.retries == 2
+                    resume()
                     assert filler.result(held, timeout=10.0)["ok"]
             finally:
                 gateway.close()

@@ -399,16 +399,18 @@ class TestWireHardening:
 
 
 class TestTimeoutAndCancelHygiene:
-    def test_gateway_timeout_leaves_no_orphaned_state(self, session):
+    def test_gateway_timeout_leaves_no_orphaned_state(self, session,
+                                                      stall_worker):
         """Satellite regression: a request that times out at the gateway
         is cancelled server-side; its (never-arriving) completion leaks
         nothing, and the connection keeps serving."""
         with LocalizationServer(session, workers=1, max_batch=8,
-                                max_delay_ms=5000.0) as server:
+                                max_delay_ms=60_000.0) as server:
             gateway = GatewayServer(server, request_timeout_s=0.3,
                                     cache_entries=0).start()
             try:
-                with GatewayClient(gateway.host, gateway.port) as client:
+                with GatewayClient(gateway.host, gateway.port) as client, \
+                        stall_worker(server) as resume:
                     rid = client.submit(_fingerprint(10))
                     response = client.result(rid, timeout=10.0)
                     assert response["error"]["code"] == "timeout"
@@ -420,8 +422,8 @@ class TestTimeoutAndCancelHygiene:
                         time.sleep(0.02)
                     assert server._requests == {}
                     # The in-flight window slot was released: the same
-                    # connection serves again (fast path: kick the
-                    # batcher awake by filling a batch).
+                    # connection serves again once the worker runs.
+                    resume()
                     ids = [client.submit(_fingerprint(11 + i))
                            for i in range(8)]
                     for rid in ids:

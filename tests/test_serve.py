@@ -2,6 +2,8 @@
 crash recovery.  The end-to-end tests use a deliberately tiny model so the
 whole file runs in a few seconds on one core."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -41,46 +43,47 @@ def images():
 class TestAdaptiveBatchPolicy:
     def test_full_batch_never_waits(self):
         policy = AdaptiveBatchPolicy(max_batch=8, max_delay_ms=10.0)
-        assert policy.wait_budget(8, 0.0) == 0.0
-        assert policy.wait_budget(20, 0.0) == 0.0
+        assert policy.wait_budget(8, 0.0, shard_idle=False) == 0.0
+        assert policy.wait_budget(20, 0.0, shard_idle=False) == 0.0
+
+    def test_idle_shard_dispatches_now(self):
+        """A free engine takes whatever is queued: a lone request never
+        waits for a batch that will not fill."""
+        policy = AdaptiveBatchPolicy(max_batch=100, max_delay_ms=50.0)
+        assert policy.wait_budget(1, 0.0, shard_idle=True) == 0.0
+        assert policy.wait_budget(1, 0.0, shard_idle=True,
+                                  deadline_slack_s=10.0) == 0.0
+
+    def test_busy_pool_waits_out_the_delay(self):
+        policy = AdaptiveBatchPolicy(max_batch=8, max_delay_ms=10.0)
+        assert policy.wait_budget(1, 0.0, shard_idle=False) \
+            == pytest.approx(0.010)
+        assert policy.wait_budget(1, 0.004, shard_idle=False) \
+            == pytest.approx(0.006)
+        # Delay elapsed: dispatch immediately.
+        assert policy.wait_budget(1, 0.011, shard_idle=False) == 0.0
 
     def test_deadline_caps_the_wait(self):
+        """While every shard is busy the wait is the smaller of the
+        remaining delay and half the nearest deadline slack."""
         policy = AdaptiveBatchPolicy(max_batch=8, max_delay_ms=10.0)
-        # No traffic model yet: wait the remaining deadline.
-        assert policy.wait_budget(1, 0.0) == pytest.approx(0.010)
-        assert policy.wait_budget(1, 0.004) == pytest.approx(0.006)
-        # Deadline elapsed: dispatch immediately.
-        assert policy.wait_budget(1, 0.011) == 0.0
-
-    def test_slow_arrivals_shrink_the_wait(self):
-        """If traffic cannot plausibly fill the batch, stop waiting early."""
-        policy = AdaptiveBatchPolicy(max_batch=100, max_delay_ms=50.0)
-        t = 0.0
-        for _ in range(10):  # one request per second — glacial
-            policy.observe_arrival(t)
-            t += 1.0
-        assert policy.ema_interarrival_s == pytest.approx(1.0)
-        # 99 missing samples would need ~99 s; but the policy must never
-        # exceed the remaining deadline either.
-        assert policy.wait_budget(1, 0.0) == pytest.approx(0.050)
-        policy2 = AdaptiveBatchPolicy(max_batch=4, max_delay_ms=50.0)
-        for step in range(10):
-            policy2.observe_arrival(step * 0.001)
-        # 3 missing samples at ~1 ms spacing: ~3 ms < the 50 ms deadline.
-        assert 0.0 < policy2.wait_budget(1, 0.0) < 0.010
-
-    def test_fast_arrivals_use_min_wait(self):
-        policy = AdaptiveBatchPolicy(max_batch=64, max_delay_ms=10.0)
-        for step in range(20):
-            policy.observe_arrival(step * 1e-6)
-        budget = policy.wait_budget(1, 0.0)
-        assert 0.0 < budget <= 10 * AdaptiveBatchPolicy.MIN_WAIT_S
+        assert policy.wait_budget(1, 0.0, shard_idle=False,
+                                  deadline_slack_s=0.008) \
+            == pytest.approx(0.004)
+        assert policy.wait_budget(1, 0.008, shard_idle=False,
+                                  deadline_slack_s=0.1) \
+            == pytest.approx(0.002)
+        # A lapsed deadline never yields a negative wait.
+        assert policy.wait_budget(1, 0.0, shard_idle=False,
+                                  deadline_slack_s=-0.001) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError, match="max_batch"):
             AdaptiveBatchPolicy(max_batch=0)
         with pytest.raises(ValueError, match="max_delay_ms"):
             AdaptiveBatchPolicy(max_batch=4, max_delay_ms=-1.0)
+        assert AdaptiveBatchPolicy(max_batch=4).summary() == {
+            "max_batch": 4, "max_delay_ms": 2.0}
 
 
 class TestStats:
@@ -162,6 +165,32 @@ class TestServerEndToEnd:
         # 8 single-image requests under a generous deadline must coalesce
         # into far fewer than 8 dispatches.
         assert sum(hist.values()) < 8
+
+    def test_lone_request_on_idle_pool_skips_the_delay(self, session,
+                                                       images):
+        """Work-conserving: an idle shard takes a lone request at once,
+        so ``max_delay_ms`` is never paid by sparse traffic."""
+        with LocalizationServer(session, workers=2,
+                                max_delay_ms=500.0) as server:
+            server.result(server.submit(images[0]), timeout=30.0)  # warm
+            start = time.perf_counter()
+            server.result(server.submit(images[1]), timeout=30.0)
+            elapsed = time.perf_counter() - start
+        assert elapsed < 0.1
+
+    def test_busy_pool_coalesces_a_burst(self, session, images,
+                                         stall_worker):
+        """While the only shard is busy, a burst coalesces into one full
+        batch instead of trickling out one request at a time."""
+        with LocalizationServer(session, workers=1, max_batch=8,
+                                max_delay_ms=5000.0) as server:
+            with stall_worker(server) as resume:
+                ids = [server.submit(images[i]) for i in range(8)]
+                resume()
+                for request_id in ids:
+                    server.result(request_id, timeout=30.0)
+            hist = server.stats()["shards"][0]["batch_size_hist"]
+        assert hist == {"1": 1, "8": 1}  # the stall's plug, then the burst
 
     def test_empty_workload_and_cancel(self, session, images):
         with LocalizationServer(session, workers=1, max_delay_ms=0.5) as server:
