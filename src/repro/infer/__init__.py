@@ -31,17 +31,7 @@ from repro.infer.compile import (
     compile_chain,
     compile_module,
 )
-from repro.infer.kernels import (
-    KERNELS,
-    GemmPlan,
-    PackedWeight,
-    autotune_gemm,
-    clear_plan_cache,
-    gemm_into,
-    resolve_kernel,
-    tune_quant_tile,
-)
-from repro.infer.ops import MATMUL_MODES, QuantizedLinear
+from repro.infer.ops import QuantizedLinear, tune_quant_tile
 from repro.infer.session import (
     SNAPSHOT_FORMAT,
     InferenceSession,
@@ -55,14 +45,6 @@ __all__ = [
     "restore_session",
     "snapshot_info",
     "QuantizedLinear",
-    "MATMUL_MODES",
-    "GemmPlan",
-    "PackedWeight",
-    "KERNELS",
-    "gemm_into",
-    "autotune_gemm",
-    "clear_plan_cache",
-    "resolve_kernel",
     "tune_quant_tile",
     "CompiledModule",
     "UnsupportedModuleError",

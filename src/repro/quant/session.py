@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.infer.kernels import tune_quant_tile
-from repro.infer.ops import MATMUL_MODES, QuantizedLinear
+from repro.infer.ops import QuantizedLinear
 from repro.infer.session import (
     InferenceSession,
     _BlockProgram,
@@ -50,13 +49,6 @@ SCHEMES = ("per_tensor", "per_channel")
 
 #: Execution modes: decode once at build vs. int8-resident tiled decode.
 MODES = ("dequant", "int8")
-
-#: Matmul engines of the int8-resident mode (see
-#: :data:`repro.infer.ops.MATMUL_MODES`): ``"int8_accumulate"`` quantizes
-#: activations on the fly and accumulates int8 x int8 products exactly;
-#: ``"dequant_tile"`` is the PR-3 decode-per-tile fallback.  ``"auto"``
-#: resolves to the accumulate engine.
-MATMULS = ("auto",) + MATMUL_MODES
 
 
 def _quantize_weight(weight: np.ndarray, scheme: str, bits: int) -> QuantizedLinear:
@@ -171,11 +163,9 @@ class QuantizedSession(InferenceSession):
     bits:
         Code width, 2..8 (codes ship as int8 either way).
     matmul:
-        Matmul engine of the int8-resident mode: ``"int8_accumulate"``
-        (dynamic per-row activation quantization, int32-exact code-vs-code
-        contraction), ``"dequant_tile"`` (the PR-3 decode-per-tile
-        fallback) or ``"auto"`` (the accumulate engine).  Ignored by
-        ``mode="dequant"``, which runs plain float32 kernels.
+        Only ``"auto"``: the dequant tile is the one int8 engine.  The
+        argument stays so existing callers that pass ``matmul="auto"``
+        keep working; any other value raises ``ValueError``.
     calibration / calibration_images:
         Either a ready :class:`repro.quant.Calibration` or a batch of
         representative images to run through the float engine before
@@ -199,6 +189,7 @@ class QuantizedSession(InferenceSession):
                 "quantized weights would compound rounding (build from the "
                 "float32 session or model instead)"
             )
+        _check_matmul(matmul)
         if not 2 <= bits <= 8:
             raise ValueError(f"bits must be in [2, 8] for int8 codes, got {bits}")
         if isinstance(source, InferenceSession):
@@ -212,7 +203,6 @@ class QuantizedSession(InferenceSession):
             scheme=scheme,
             mode=mode,
             bits=bits,
-            matmul=matmul,
             calibration=calibration,
             max_batch=max_batch,
         )
@@ -225,33 +215,17 @@ class QuantizedSession(InferenceSession):
         mode: str,
         bits: int,
         calibration,
-        matmul: str = "auto",
         max_batch: int | None = None,
     ) -> None:
         """Wire quantized state + metadata into a runnable session."""
         self.scheme = _check_scheme(scheme)
         self.mode = _check_mode(mode)
         self.bits = int(bits)
-        self.matmul = _check_matmul(matmul)
         if isinstance(calibration, Calibration):
             calibration = calibration.summary()
         self.calibration = calibration
         self._qstate = qstate
         InferenceSession.__setstate__(self, _executable_state(qstate, mode, max_batch))
-        if self.mode == "int8":
-            self._bind_matmul()
-
-    def _bind_matmul(self) -> None:
-        """Point every resident :class:`QuantizedLinear` at the configured
-        matmul engine, and — under the blocked kernel — widen its decode
-        panel to the tuned cache-resident width (the naive kernel keeps
-        the fixed PR-3 tile so ``--kernel naive`` reproduces the old
-        baseline exactly)."""
-        for weight in _iter_weight_arrays(InferenceSession.__getstate__(self)):
-            if isinstance(weight, QuantizedLinear):
-                weight.matmul_mode = self.matmul
-                if self.kernel == "blocked":
-                    weight.tile = tune_quant_tile(*weight.shape)
 
     # -- snapshot / restore -------------------------------------------
     def snapshot(self) -> dict:
@@ -267,19 +241,17 @@ class QuantizedSession(InferenceSession):
             "scheme": self.scheme,
             "mode": self.mode,
             "bits": self.bits,
-            "matmul": self.matmul,
             "calibration": self.calibration,
             "state": self._qstate,
         }
 
     @classmethod
-    def from_snapshot(cls, snapshot: dict, mode: str | None = None,
-                      matmul: str | None = None) -> "QuantizedSession":
-        """Rebuild from :meth:`snapshot`; ``mode`` / ``matmul`` optionally
-        override the recorded execution mode and matmul engine (the wire
-        format is identical for all of them).  Pre-kernel-layer snapshots
-        carry no matmul entry and restore onto the dequant-tile engine,
-        preserving their recorded numerics."""
+    def from_snapshot(cls, snapshot: dict,
+                      mode: str | None = None) -> "QuantizedSession":
+        """Rebuild from :meth:`snapshot`; ``mode`` optionally overrides the
+        recorded execution mode (the wire format is identical for both).
+        A ``matmul`` entry in older snapshots is ignored: the dequant tile
+        is the one int8 engine."""
         if not isinstance(snapshot, dict) or snapshot.get("format") != QUANT_SNAPSHOT_FORMAT:
             raise ValueError(
                 f"not a QuantizedSession snapshot (expected format "
@@ -292,7 +264,6 @@ class QuantizedSession(InferenceSession):
             scheme=snapshot["scheme"],
             mode=mode or snapshot["mode"],
             bits=snapshot["bits"],
-            matmul=matmul or snapshot.get("matmul", "dequant_tile"),
             calibration=snapshot.get("calibration"),
         )
         return session
@@ -305,7 +276,6 @@ class QuantizedSession(InferenceSession):
             "scheme": self.scheme,
             "mode": self.mode,
             "bits": self.bits,
-            "matmul": self.matmul,
             "calibration": self.calibration,
         }
 
@@ -315,7 +285,6 @@ class QuantizedSession(InferenceSession):
             scheme=state["scheme"],
             mode=state["mode"],
             bits=state["bits"],
-            matmul=state.get("matmul", "dequant_tile"),
             calibration=state.get("calibration"),
         )
 
@@ -328,15 +297,11 @@ class QuantizedSession(InferenceSession):
         return snapshot_info(self.snapshot())
 
     def gemm_sites(self) -> list[dict]:
-        """Base sites plus the quantization view: which matmul engine an
-        int8-resident site runs (``int8_accumulate``/``dequant_tile``)
-        and the session's scheme/mode — so profiling output names the
-        exact kernel each shape executes."""
+        """Base sites plus the session's quantization scheme/mode."""
         sites = super().gemm_sites()
         for site in sites:
             site["scheme"] = self.scheme
             site["mode"] = self.mode
-            site["engine"] = self.matmul if site["weight"] == "int8" else None
         return sites
 
     # -- footprint accounting -----------------------------------------
@@ -365,7 +330,7 @@ class QuantizedSession(InferenceSession):
             f"QuantizedSession(image={self.image_size}, "
             f"blocks={len(self.blocks)}, classes={self.num_classes}, "
             f"scheme={self.scheme}, mode={self.mode}, bits={self.bits}, "
-            f"matmul={self.matmul}, max_batch={self.max_batch})"
+            f"max_batch={self.max_batch})"
         )
 
 
@@ -381,10 +346,12 @@ def _check_mode(mode: str) -> str:
     return mode
 
 
-def _check_matmul(matmul: str) -> str:
-    if matmul not in MATMULS:
-        raise ValueError(f"matmul must be one of {MATMULS}, got {matmul!r}")
-    return "int8_accumulate" if matmul == "auto" else matmul
+def _check_matmul(matmul: str) -> None:
+    if matmul != "auto":
+        raise ValueError(
+            f"matmul={matmul!r}: selectable int8 matmul engines were removed; "
+            "the dequant tile is the only int8 engine, pass matmul='auto'"
+        )
 
 
 def quantize_session(

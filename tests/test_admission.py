@@ -496,6 +496,13 @@ class TestGatewayQos:
         gateway, resume = stack
         with GatewayClient("127.0.0.1", gateway.port) as filler:
             ids = [filler.submit(self._fingerprint(i)) for i in range(8)]
+            # The HTTP request arrives on its own connection, so nothing
+            # orders it after the filler's pipelined frames: a probe
+            # rejection on the filler's connection proves the route is
+            # full before the HTTP request is sent.
+            probe = filler.result(filler.submit(self._fingerprint(98)),
+                                  timeout=5.0)
+            assert probe["error"]["code"] == "overloaded"
             body = json.dumps(
                 {"fingerprint": self._fingerprint(5).tolist()}
             ).encode()
@@ -563,6 +570,11 @@ class TestGatewayQos:
                                       backoff_base_s=0.01) as client, \
                         stall_worker(server) as resume:
                     held = filler.submit(self._fingerprint(0))
+                    # The slot must be taken before the client asks: a
+                    # probe rejection on the filler's connection proves it.
+                    probe = filler.result(
+                        filler.submit(self._fingerprint(98)), timeout=5.0)
+                    assert probe["error"]["code"] == "overloaded"
                     with pytest.raises(GatewayError) as info:
                         client.localize(self._fingerprint(1), timeout=10.0)
                     assert info.value.code == "overloaded"

@@ -209,7 +209,6 @@ class TestVitEquivalence:
             "num_classes": 5,
             "max_batch": 6,
             "blocks": 1,
-            "kernel": "blocked",
         }
         quantized = QuantizedSession(session, scheme="per_tensor", mode="int8")
         qinfo = snapshot_info(quantized.snapshot())
@@ -466,6 +465,20 @@ class TestRegressionGate:
         assert problems and "not comparable" in problems[0]
         fresh["config"]["image_size"] = 24
         assert check_regression(fresh, baseline) == []
+
+    def test_dequant_tile_floor(self):
+        """Full records gate the int8 dequant tile at >= 1.5x over the
+        PR-3 loop; quick records and records without the section pass."""
+        from repro.infer.benchmark import check_kernel_gates
+
+        def record(speedup, quick=False):
+            return {"config": {"quick": quick},
+                    "kernels": {"int8_resident": {"speedup": speedup}}}
+
+        assert check_kernel_gates(record(1.9)) == []
+        assert "floor" in check_kernel_gates(record(1.4))[0]
+        assert check_kernel_gates(record(1.4, quick=True)) == []
+        assert check_kernel_gates({"config": {}}) == []
 
 
 class TestTapeFreeness:

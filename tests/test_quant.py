@@ -1,12 +1,19 @@
 """The repro.quant subsystem: calibration, quantized execution, snapshots,
-serving and the localization-accuracy parity pins."""
+serving and the localization-accuracy parity pins, plus the dequant-tile
+engine (:class:`repro.infer.QuantizedLinear`) underneath."""
 
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.infer import InferenceSession, QuantizedLinear, restore_session
+from repro.infer import (
+    InferenceSession,
+    QuantizedLinear,
+    restore_session,
+    tune_quant_tile,
+)
 from repro.quant import (
     MODES,
     QUANT_SNAPSHOT_FORMAT,
@@ -56,23 +63,14 @@ class TestQuantizedExecution:
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_modes_agree(self, float_session, images, scheme):
-        """dequant and int8/dequant_tile decode the same codes — logits must
-        agree to float32 matmul reassociation tolerance.  The int8-accumulate
-        engine additionally quantizes activations, so it only tracks the
-        dequant lane to activation-quantization tolerance."""
+        """dequant and int8 decode the same codes — logits must agree to
+        float32 matmul reassociation tolerance."""
         dequant = QuantizedSession(float_session, scheme=scheme, mode="dequant")
-        int8 = QuantizedSession(float_session, scheme=scheme, mode="int8",
-                                matmul="dequant_tile")
-        reference = dequant.predict_many(images)
+        int8 = QuantizedSession(float_session, scheme=scheme, mode="int8")
         np.testing.assert_allclose(
-            reference, int8.predict_many(images), atol=1e-5, rtol=1e-5,
+            dequant.predict_many(images), int8.predict_many(images),
+            atol=1e-5, rtol=1e-5,
         )
-        accumulate = QuantizedSession(float_session, scheme=scheme, mode="int8",
-                                      matmul="int8_accumulate")
-        logits = accumulate.predict_many(images)
-        assert np.abs(logits - reference).max() < 0.05
-        agreement = (logits.argmax(axis=1) == reference.argmax(axis=1)).mean()
-        assert agreement >= 0.9
 
     def test_int8_mode_weights_stay_quantized(self, float_session):
         quantized = QuantizedSession(float_session, mode="int8")
@@ -166,9 +164,7 @@ class TestQuantizedSnapshots:
             assert quant_bytes <= 0.35 * float_bytes, (scheme, quant_bytes)
 
     def test_mode_override_on_restore(self, float_session, images):
-        snapshot = QuantizedSession(
-            float_session, mode="int8", matmul="dequant_tile"
-        ).snapshot()
+        snapshot = QuantizedSession(float_session, mode="int8").snapshot()
         restored = QuantizedSession.from_snapshot(snapshot, mode="dequant")
         assert restored.mode == "dequant"
         assert not isinstance(restored.w_embed, QuantizedLinear)
@@ -176,23 +172,6 @@ class TestQuantizedSnapshots:
             restored.predict_many(images),
             QuantizedSession.from_snapshot(snapshot).predict_many(images),
             atol=1e-5, rtol=1e-5,
-        )
-
-    def test_matmul_override_on_restore(self, float_session, images):
-        """Snapshots record the matmul engine; from_snapshot honours it and
-        accepts an explicit override."""
-        snapshot = QuantizedSession(float_session, mode="int8").snapshot()
-        assert snapshot["matmul"] == "int8_accumulate"
-        restored = QuantizedSession.from_snapshot(snapshot)
-        assert restored.matmul == "int8_accumulate"
-        overridden = QuantizedSession.from_snapshot(snapshot, matmul="dequant_tile")
-        assert overridden.matmul == "dequant_tile"
-        # legacy snapshots (no "matmul" key) restore the PR-3 dequant-tile path
-        legacy = {key: value for key, value in snapshot.items() if key != "matmul"}
-        assert QuantizedSession.from_snapshot(legacy).matmul == "dequant_tile"
-        reference = QuantizedSession(float_session, mode="dequant").predict_many(images)
-        np.testing.assert_allclose(
-            overridden.predict_many(images), reference, atol=1e-5, rtol=1e-5,
         )
 
     def test_restore_session_dispatches_by_format(self, float_session):
@@ -221,6 +200,183 @@ class TestQuantizedSnapshots:
             assert isinstance(block, dict)
             assert isinstance(block["w_qkv"], QuantizedLinear)
             assert block["b_qkv"].dtype == np.float32  # biases stay float
+
+
+def _legacy_pickle(layer: QuantizedLinear):
+    """Pickles as ``layer`` in the state layout older releases wrote:
+    a fixed PR-3 ``tile`` of 64 and the ``matmul_mode`` field of the
+    removed int8-accumulate engine."""
+
+    class Legacy:
+        def __reduce__(self):
+            return (object.__new__, (QuantizedLinear,), {
+                "codes": layer.codes, "scales": layer.scales, "tile": 64,
+                "matmul_mode": "int8_accumulate",
+            })
+
+    return Legacy()
+
+
+class TestLegacySnapshots:
+    """Snapshots written while the engine still had kernel and matmul
+    choices restore onto the one float32 path and the one int8 path, with
+    logits bit-identical to a fresh session built from the same weights
+    or codes."""
+
+    def test_legacy_float_snapshots_restore_onto_the_one_path(self, images):
+        fresh = InferenceSession(_model(4), max_batch=4)
+        reference = fresh.predict_many(images)
+        snapshot = fresh.snapshot()
+        state = snapshot["state"]
+        assert "kernel" not in state and "kernel_plans" not in state
+        for legacy_state in ({**state, "kernel": "naive", "kernel_plans": {}},
+                             {**state, "kernel": "blocked"},
+                             state):
+            legacy = {**snapshot, "state": legacy_state}
+            restored = restore_session(pickle.loads(pickle.dumps(legacy)))
+            assert not hasattr(restored, "kernel")
+            np.testing.assert_array_equal(restored.predict_many(images),
+                                          reference)
+
+    def test_legacy_int8_snapshot_restores_onto_the_dequant_tile(self,
+                                                                 images):
+        fresh = InferenceSession(_model(4), max_batch=4)
+        quantized = QuantizedSession(fresh, mode="int8")
+        qsnapshot = quantized.snapshot()
+        assert "matmul" not in qsnapshot
+        qstate = qsnapshot["state"]
+        legacy_qstate = {
+            **qstate,
+            "w_embed": _legacy_pickle(qstate["w_embed"]),
+            "blocks": [
+                {**block,
+                 "w_qkv": _legacy_pickle(block["w_qkv"]),
+                 "w_out": _legacy_pickle(block["w_out"]),
+                 "mlp_weights": [(_legacy_pickle(w), bias)
+                                 for w, bias in block["mlp_weights"]]}
+                for block in qstate["blocks"]
+            ],
+            "head_weights": [(_legacy_pickle(w), bias)
+                             for w, bias in qstate["head_weights"]],
+        }
+        legacy = {**qsnapshot, "matmul": "int8_accumulate",
+                  "state": legacy_qstate}
+        restored = restore_session(pickle.loads(pickle.dumps(legacy)))
+        assert restored.mode == "int8"
+        for block in restored.blocks:
+            assert block.w_qkv.tile == tune_quant_tile(*block.w_qkv.shape)
+            assert not hasattr(block.w_qkv, "matmul_mode")
+        np.testing.assert_array_equal(
+            restored.predict_many(images),
+            QuantizedSession.from_snapshot(qsnapshot).predict_many(images),
+        )
+        np.testing.assert_array_equal(restored.predict_many(images),
+                                      quantized.predict_many(images))
+
+        for removed in ("int8_accumulate", "dequant_tile"):
+            with pytest.raises(ValueError, match="removed"):
+                quantize_session(fresh, mode="int8", matmul=removed)
+
+
+def _quantize(w: np.ndarray, per_channel: bool = True):
+    if per_channel:
+        scales = np.abs(w).max(axis=0).astype(np.float32) / np.float32(127.0)
+        scales[scales == 0] = np.float32(1.0)
+    else:
+        amax = float(np.abs(w).max()) or 1.0
+        scales = np.float32(amax / 127.0)
+    codes = np.clip(np.rint(w / scales), -127, 127).astype(np.int8)
+    return codes, np.asarray(scales, dtype=np.float32)
+
+
+class TestDequantTileProperty:
+    @given(k=st.integers(1, 96), n=st.integers(1, 96),
+           per_channel=st.booleans(), tile_offset=st.integers(-95, 32),
+           batch_shape=st.sampled_from([(5,), (1,), (3, 4), (2, 1)]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_matmul_into_matches_materialized(self, k, n, per_channel,
+                                              tile_offset, batch_shape, seed):
+        """For any weight shape, scale granularity, tile width (narrower
+        or wider than N) and 2-D or 3-D activations, the tiled
+        ``matmul_into`` equals ``x @ materialize()``."""
+        rng = np.random.default_rng(seed)
+        codes, scales = _quantize(
+            rng.standard_normal((k, n)).astype(np.float32), per_channel
+        )
+        tile = max(1, n + tile_offset)
+        layer = QuantizedLinear(codes, scales, tile=tile)
+        x = rng.standard_normal(batch_shape + (k,)).astype(np.float32)
+        out = np.empty(batch_shape + (n,), dtype=np.float32)
+        layer.matmul_into(x, out)
+        assert layer._scratch.shape == (k, min(tile, n))
+        np.testing.assert_allclose(out, x @ layer.materialize(),
+                                   rtol=1e-5, atol=1e-5)
+
+    def test_tune_quant_tile_honors_cap_and_bounds(self):
+        assert tune_quant_tile(60, 180) == 180  # small weight: full width
+        cap = 512 * 1024
+        wide = tune_quant_tile(4096, 8192)
+        assert 1 <= wide <= 8192 and 4 * 4096 * wide <= cap
+        assert tune_quant_tile(10, 0) == 1
+        assert tune_quant_tile(0, 7) == 7
+        codes = np.ones((60, 180), dtype=np.int8)
+        assert QuantizedLinear(codes, 0.5).tile == tune_quant_tile(60, 180)
+
+
+class TestQuantizedLinearEdgeCases:
+    def test_empty_codes_both_axes(self):
+        for shape in ((0, 5), (5, 0), (0, 0)):
+            layer = QuantizedLinear(np.empty(shape, dtype=np.int8),
+                                    np.ones(shape[1], dtype=np.float32))
+            x = np.ones((3, shape[0]), dtype=np.float32)
+            out = np.full((3, shape[1]), np.nan, dtype=np.float32)
+            layer.matmul_into(x, out)
+            if shape[1]:
+                np.testing.assert_array_equal(out, 0.0)  # empty reduction
+
+    def test_tile_validation_rejects_non_positive_and_non_int(self):
+        codes = np.ones((4, 4), dtype=np.int8)
+        scales = np.ones(4, dtype=np.float32)
+        for bad in (0, -3, True, 2.5):
+            with pytest.raises(ValueError, match="tile"):
+                QuantizedLinear(codes, scales, tile=bad)
+
+    def test_small_tile_is_respected_not_clamped(self):
+        """tile=7 on a 30-column weight must stream 7-wide panels (the
+        scratch is exactly 7 wide) and still be numerically right."""
+        rng = np.random.default_rng(5)
+        w = rng.standard_normal((12, 30)).astype(np.float32)
+        codes, scales = _quantize(w)
+        layer = QuantizedLinear(codes, scales, tile=7)
+        assert layer.tile == 7
+        x = rng.standard_normal((4, 12)).astype(np.float32)
+        out = np.empty((4, 30), dtype=np.float32)
+        layer.matmul_into(x, out)
+        assert layer._scratch.shape == (12, 7)
+        np.testing.assert_allclose(out, x @ (codes.astype(np.float32) * scales),
+                                   rtol=1e-5, atol=1e-5)
+
+    def test_zero_row_activations(self):
+        codes, scales = _quantize(
+            np.random.default_rng(6).standard_normal((8, 10)).astype(np.float32)
+        )
+        layer = QuantizedLinear(codes, scales)
+        out = np.empty((0, 10), dtype=np.float32)
+        layer.matmul_into(np.empty((0, 8), dtype=np.float32), out)
+        assert out.shape == (0, 10)
+
+    def test_per_tensor_scalar_scales(self):
+        rng = np.random.default_rng(8)
+        w = rng.standard_normal((16, 12)).astype(np.float32)
+        codes, scale = _quantize(w, per_channel=False)
+        x = rng.standard_normal((5, 16)).astype(np.float32)
+        layer = QuantizedLinear(codes, scale, tile=5)
+        out = np.empty((5, 12), dtype=np.float32)
+        layer.matmul_into(x, out)
+        np.testing.assert_allclose(
+            out, x @ (codes.astype(np.float32) * scale), atol=1e-5
+        )
 
 
 class TestCalibration:
